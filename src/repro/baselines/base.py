@@ -71,10 +71,6 @@ class GraphGenerator(abc.ABC):
             raise NotFittedError(f"{type(self).__name__} is not fitted")
         return self._observed
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._observed is not None
-
     # ------------------------------------------------------------------
     def estimated_peak_memory(self, num_nodes: int) -> int:
         """Bytes of the dominant working set when handling ``num_nodes``.

@@ -64,6 +64,7 @@ import numpy as np
 from ..core import CPGAN, CPGANConfig
 from ..datasets import load
 from ..graphs import Graph
+from ..graphs.assembly import merge_stats
 from ..metrics import clustering_mmd, degree_mmd
 from ..train import EpochTimer, Trainer, TrainState
 from .memory import measure_peak_memory
@@ -253,9 +254,10 @@ def _time_generation_streaming(
     tracemalloc's per-allocation hook is part of the measured workload on
     both sides of a comparison, so normalized ratios stay honest.
 
-    The extras dict carries the tracemalloc peak plus the repair pass's
-    accounting summed over the repetitions (sampler name, wall-clock,
-    isolated/proposal/acceptance counts).
+    The extras dict carries the tracemalloc peak plus the generation
+    ``_stats`` telemetry summed over the repetitions (repair sampler,
+    wall-clock, isolated/proposal/acceptance counts, and the hierarchical
+    plan/stitch counters on the hierarchical cell).
     """
     model = _fitted_model(graph, settings)
     cfg = model.generation_config(
@@ -289,9 +291,7 @@ def _time_generation_streaming(
                 )
             )
             peaks.append(peak)
-            for key, value in stats.items():
-                if not isinstance(value, str):
-                    repair[key] = repair.get(key, 0) + value
+            merge_stats(repair, stats)
             if peak > budget_bytes:
                 raise RuntimeError(
                     f"{name} peak memory {peak / 2**20:.1f} MiB "
@@ -304,27 +304,11 @@ def _time_generation_streaming(
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     extras: dict[str, float] = {
+        **repair,
         "peak_mb": max(peaks) / 2**20,
         "budget_mb": float(budget_mb),
         "repair_sampler": sampler,
     }
-    for key in (
-        "repair_s",
-        "repair_isolated",
-        "repair_drawn",
-        "repair_proposals",
-        "repair_accepted",
-        "repair_fallback",
-        "hier_communities",
-        "hier_cross_pairs",
-        "hier_intra_edges",
-        "hier_cross_edges",
-        "hier_budget_clipped",
-        "cross_proposals",
-        "cross_filled",
-    ):
-        if key in repair:
-            extras[key] = repair[key]
     return mean_s, std_s, extras
 
 

@@ -25,6 +25,7 @@ training procedure of Eqs. 16–19 and the generation procedure of §III-G:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,12 @@ from ..community import hierarchical_labels
 from ..graphs import (
     Graph,
     assemble_graph,
-    assemble_graph_sparse,
+    assemble_graph_sparse,  # unused here; perfbench/tracing.py rebinds it
     sample_subgraph,
     select_edges_sparse,
     spectral_embedding,
 )
-from ..nn.tensor import _stable_sigmoid
+from ..graphs.assembly import merge_stats
 from ..train import (
     Callback,
     Checkpoint,
@@ -53,7 +54,7 @@ from .config import CPGANConfig
 from .decoder import (
     GraphDecoder,
     PairScorer,
-    topk_pair_candidates,
+    topk_pair_candidates,  # unused here; perfbench/tracing.py rebinds it
     topk_pair_candidates_batch,
 )
 from .discriminator import Discriminator
@@ -114,24 +115,6 @@ class _TrainSession:
     state: TrainState
 
 
-def _merge_generation_stats(total: dict, sample: dict | None) -> None:
-    """Accumulate one sample's assembly telemetry into a batch total.
-
-    Numeric values add; string values (e.g. ``repair_sampler``) are
-    carried as-is — identical across a batch since they come from one
-    config snapshot.  ``samples`` counts the merged generations so rates
-    stay interpretable.
-    """
-    if not sample:
-        return
-    for key, value in sample.items():
-        if isinstance(value, str):
-            total[key] = value
-        else:
-            total[key] = total.get(key, 0) + value
-    total["samples"] = total.get("samples", 0) + 1
-
-
 class CPGAN(GraphGenerator):
     """Community-preserving GAN graph generator.
 
@@ -143,10 +126,6 @@ class CPGAN(GraphGenerator):
 
     name = "CPGAN"
     uses_autograd_training = True
-    #: Generation accepts a ``_stats`` dict and fills it with repair-pass
-    #: telemetry; the serving tier checks this before passing one, so
-    #: generic :class:`GraphGenerator` baselines need no shim.
-    exposes_generation_stats = True
 
     def __init__(self, config: CPGANConfig | None = None) -> None:
         super().__init__()
@@ -489,7 +468,8 @@ class CPGAN(GraphGenerator):
         ``_DENSE_GENERATION_LIMIT`` nodes and produces the same graph as
         the sparse pipeline for the same seed.  ``config.generation_threads``
         parallelises the sparse kernel's row-block scoring; the result is
-        bit-identical at every thread count.
+        bit-identical at every thread count.  ``_stats``, when a dict,
+        accumulates the generation telemetry (see :meth:`_generate_edges`).
 
         **Thread safety.**  On a fitted model this method is safe to call
         from concurrent threads: it only *reads* the fitted snapshot
@@ -502,23 +482,8 @@ class CPGAN(GraphGenerator):
         this guarantee.  Calling ``fit`` concurrently with ``generate`` is
         not supported.
         """
-        cfg = config or self.config
-        if cfg.generation_mode == "hierarchical":
-            from ..hier import generate_hierarchical
-
-            n, edges = generate_hierarchical(
-                self, seed, num_nodes, cfg, _stats=_stats
-            )
-            return Graph.from_canonical_edges(n, edges)
-        if self._use_dense_generation(cfg):
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            return self._generate_dense(
-                latents, n, target_edges, rng, cfg.assembly_strategy
-            )
         return self.generate_batch(
-            (seed,), num_nodes, config=cfg, _stats=_stats
+            (seed,), num_nodes, config=config, _stats=_stats
         )[0]
 
     def generate_batch(
@@ -545,11 +510,9 @@ class CPGAN(GraphGenerator):
 
         ``num_nodes`` may be a single value applied to every seed or a
         per-seed sequence; seeds are grouped by node count and each group
-        runs through one stacked kernel call (the dense reference and
-        ``bernoulli`` paths fall back to per-seed :meth:`generate`, which
-        has no batched form).
+        runs through one stacked kernel call (the hierarchical and dense
+        strategies run per seed).
         """
-        cfg = config or self.config
         seeds = list(seeds)
         if isinstance(num_nodes, (list, tuple)):
             if len(num_nodes) != len(seeds):
@@ -560,75 +523,186 @@ class CPGAN(GraphGenerator):
             sizes = list(num_nodes)
         else:
             sizes = [num_nodes] * len(seeds)
-        if not seeds:
-            return []
+        results = self._generate_edges(
+            seeds, sizes, config or self.config, _stats
+        )
+        # The pipeline emits canonical edges (unique, u < v, sorted), so
+        # the validating Graph constructor would be pure overhead.
+        return [Graph.from_canonical_edges(n, edges) for n, edges in results]
+
+    def generate_to_file(
+        self,
+        path,
+        seed: int = 0,
+        num_nodes: int | None = None,
+        flush_every: int = 100_000,
+        *,
+        config: CPGANConfig | None = None,
+        shard_edges: int | None = None,
+        shard_format: str = "edgelist",
+        _stats: dict | None = None,
+    ) -> int:
+        """Stream a generated graph to disk (§III-H future work).
+
+        The paper notes CPGAN's simulation step still assumes the output
+        graph fits in device memory and names out-of-core generation as
+        future work.  This implements it on the sparse pipeline: the
+        chunked kernel scores row-blocks into a bounded candidate buffer
+        (in ``config.generation_dtype`` precision), the shared selection
+        core picks the final edge set, and edges stream out in
+        ``flush_every``-line batches — peak memory is O(row_block · n + K)
+        regardless of the output size.  The edge set is exactly the one
+        :meth:`generate` returns for the same seed, and the returned count
+        equals the number of edges written.
+
+        ``shard_edges`` (default ``config.generation_shard_edges``) selects
+        the output layout: 0 writes a single edge-list file plus a
+        ``<path>.meta.json`` sidecar; > 0 writes ``path`` as a *directory*
+        of ~``shard_edges``-edge shards (``shard_format`` ``"edgelist"`` or
+        ``"csr"``) with a ``meta.json`` manifest.  Both record num_nodes,
+        num_edges, the scoring dtype and the seed, so
+        :func:`repro.graphs.read_edge_list` round-trips the graph exactly —
+        including trailing isolated nodes.
+        """
+        from ..graphs.io import EdgeShardWriter, _meta_sidecar_path, _write_meta
+
+        cfg = config or self.config
+        if shard_edges is None:
+            shard_edges = cfg.generation_shard_edges
+        [(n, edges)] = self._generate_edges([seed], [num_nodes], cfg, _stats)
+        extra_meta = {"dtype": self._edge_strategy(cfg)[1], "seed": int(seed)}
+        path = Path(path)
+        step = max(flush_every, 1)
+        if shard_edges > 0:
+            with EdgeShardWriter(
+                path, n, shard_edges, shard_format, meta=extra_meta
+            ) as writer:
+                for start in range(0, len(edges), step):
+                    writer.write(edges[start : start + step])
+        else:
+            with path.open("w") as handle:
+                handle.write(f"# nodes: {n}\n")
+                for start in range(0, len(edges), step):
+                    chunk = edges[start : start + step]
+                    handle.writelines(f"{u} {v}\n" for u, v in chunk.tolist())
+            _write_meta(
+                _meta_sidecar_path(path),
+                {
+                    "format_version": 1,
+                    "kind": "edge_list",
+                    "num_nodes": int(n),
+                    "num_edges": int(len(edges)),
+                    **extra_meta,
+                },
+            )
+        return len(edges)
+
+    # -- the generation pipeline ----------------------------------------
+    def _edge_strategy(self, cfg: CPGANConfig):
+        """``(per_seed, dtype)``: how a seed's edges are selected, and in
+        which scoring precision.
+
+        The one place generation dispatches on mode.  ``per_seed`` is
+        ``None`` for the sparse pipeline, whose seeds share one top-k
+        kernel call per node count; the hierarchical pipeline and the
+        dense O(n²) reference (the only ``bernoulli`` path) are per-seed
+        callables ``(seed, num_nodes, _stats=) -> (n, edges)``.
+        """
         if cfg.generation_mode == "hierarchical":
-            # Hierarchical runs are already a fan-out of per-community
-            # kernel calls; batching adds nothing, so coalesced requests
-            # fall back to the (bit-identical) solo path per seed.
-            graphs = []
-            for seed, size in zip(seeds, sizes):
-                sample_stats = {} if _stats is not None else None
-                graphs.append(
-                    self.generate(seed, size, config=cfg, _stats=sample_stats)
-                )
-                if _stats is not None:
-                    _merge_generation_stats(_stats, sample_stats)
-            return graphs
-        if self._use_dense_generation(cfg):
-            return [
-                self.generate(seed, size, config=cfg)
+            from ..hier import generate_hierarchical
+
+            return (
+                partial(generate_hierarchical, self, cfg=cfg),
+                cfg.generation_dtype,
+            )
+        if (
+            cfg.generation_mode == "dense"
+            or cfg.assembly_strategy == "bernoulli"
+        ):
+            # The dense reference has no float32 path.
+            return partial(self._generate_dense, cfg=cfg), "float64"
+        return None, cfg.generation_dtype
+
+    def _generate_edges(
+        self,
+        seeds: list,
+        sizes: list,
+        cfg: CPGANConfig,
+        stats: dict | None = None,
+    ) -> list[tuple[int, np.ndarray]]:
+        """The generation pipeline behind every entry point.
+
+        Returns one ``(n, edges)`` per seed, ``edges`` canonical (unique,
+        ``u < v``, sorted by ``(u, v)``).  The sparse pipeline runs
+        latents → decoder features (cast once to ``generation_dtype``) →
+        one top-k kernel call per node-count group → selection/repair with
+        each seed's own RNG.  ``stats``, when a dict, receives every
+        seed's telemetry merged by :func:`~repro.graphs.assembly.merge_stats`
+        (repair, cross-stitch and hierarchical keys) plus ``samples``, the
+        number of graphs generated — the same keys whichever entry point
+        or batch composition ran.
+        """
+        parts = [{} if stats is not None else None for __ in seeds]
+        per_seed, dtype = self._edge_strategy(cfg)
+        if per_seed is not None:
+            results = [
+                per_seed(seed, size, _stats=part)
+                for seed, size, part in zip(seeds, sizes, parts)
+            ]
+        else:
+            prepared = [
+                self._prepare_generation(seed, size, cfg)
                 for seed, size in zip(seeds, sizes)
             ]
-        prepared = [
-            self._prepare_generation(seed, size, cfg)
-            for seed, size in zip(seeds, sizes)
-        ]
-        # Decoder features stay per-sample (a stacked GRU/MLP pass would
-        # change GEMM shapes and therefore bits); only the pairwise
-        # scoring sweep — the dominant cost — is batched.
-        features = [
-            self.decoder.edge_features_numpy(latents)
-            for __, __, __, latents in prepared
-        ]
-        groups: dict[int, list[int]] = {}
-        for index, (n, __, __, __) in enumerate(prepared):
-            groups.setdefault(n, []).append(index)
-        graphs: list[Graph | None] = [None] * len(seeds)
-        for n, members in groups.items():
-            # target_edges is a pure function of n, so it is shared by the
-            # whole group — as is the candidate budget K.
-            target_edges = prepared[members[0]][1]
-            k = int(np.ceil(cfg.candidate_factor * target_edges))
-            candidates = topk_pair_candidates_batch(
-                np.stack([features[index] for index in members]),
-                max(k, target_edges),
-                threads=cfg.generation_threads,
-                score_dtype=cfg.generation_dtype,
-            )
-            score_dtype = np.dtype(cfg.generation_dtype)
-            for index, triple in zip(members, candidates):
-                # One up-front cast so the repair pass scores in the same
-                # precision as the kernel (a float64 config is a no-op
-                # view of the existing features).
-                g = np.asarray(features[index], dtype=score_dtype)
-                sample_stats = {} if _stats is not None else None
-                graphs[index] = assemble_graph_sparse(
-                    n,
-                    triple,
-                    target_edges,
-                    prepared[index][2],
-                    cfg.assembly_strategy,
-                    score_rows=PairScorer(g),
-                    assume_unique=True,
-                    repair_sampler=cfg.repair_sampler,
-                    _stats=sample_stats,
+            # Decoder features stay per-sample (a stacked GRU/MLP pass
+            # would change GEMM shapes and therefore bits).  Each is cast
+            # to the scoring dtype once, before the kernel, so the repair
+            # pass scores in the kernel's precision.
+            features = [
+                np.asarray(self.decoder.edge_features_numpy(latents), dtype)
+                for __, __, __, latents in prepared
+            ]
+            groups: dict[int, list[int]] = {}
+            for index, (n, *__) in enumerate(prepared):
+                groups.setdefault(n, []).append(index)
+            results = [None] * len(seeds)
+            for n, members in groups.items():
+                # target_edges is a pure function of n, so it is shared by
+                # the whole group — as is the candidate budget K.  K only
+                # adds headroom: the kernel is exact, so any K >=
+                # target_edges reproduces the dense selection.
+                target_edges = prepared[members[0]][1]
+                k = int(np.ceil(cfg.candidate_factor * target_edges))
+                stack = (
+                    features[members[0]][None]  # a view: no copy at S=1
+                    if len(members) == 1
+                    else np.stack([features[index] for index in members])
                 )
-                if _stats is not None:
-                    _merge_generation_stats(_stats, sample_stats)
-        return graphs
+                candidates = topk_pair_candidates_batch(
+                    stack,
+                    max(k, target_edges),
+                    threads=cfg.generation_threads,
+                    score_dtype=dtype,
+                )
+                for index, triple in zip(members, candidates):
+                    edges = select_edges_sparse(
+                        n,
+                        triple,
+                        target_edges,
+                        prepared[index][2],
+                        cfg.assembly_strategy,
+                        score_rows=PairScorer(features[index]),
+                        assume_unique=True,
+                        repair_sampler=cfg.repair_sampler,
+                        _stats=parts[index],
+                    )
+                    results[index] = (n, edges)
+        if stats is not None:
+            for part in parts:
+                merge_stats(stats, part)
+            stats["samples"] = stats.get("samples", 0) + len(results)
+        return results
 
-    # -- shared generation pipeline ------------------------------------
     def _prepare_generation(
         self,
         seed: int,
@@ -673,22 +747,19 @@ class CPGAN(GraphGenerator):
         latents = source.sample(n, rng, keep_identity=keep_identity)
         return n, target_edges, rng, latents
 
-    def _use_dense_generation(self, cfg: CPGANConfig) -> bool:
-        """Bernoulli needs the full random matrix; 'dense' mode is the
-        explicit O(n²) reference."""
-        return (
-            cfg.assembly_strategy == "bernoulli"
-            or cfg.generation_mode == "dense"
-        )
-
     def _generate_dense(
         self,
-        latents: list[np.ndarray],
-        n: int,
-        target_edges: int,
-        rng: np.random.Generator,
-        strategy: str,
-    ) -> Graph:
+        seed: int,
+        num_nodes: int | None,
+        cfg: CPGANConfig,
+        _stats: dict | None = None,
+    ) -> tuple[int, np.ndarray]:
+        """The O(n²) reference strategy: score the full matrix, then
+        assemble (the sparse pipeline's oracle, and the ``bernoulli`` path).
+        """
+        n, target_edges, rng, latents = self._prepare_generation(
+            seed, num_nodes, cfg
+        )
         if n > _DENSE_GENERATION_LIMIT:
             raise ValueError(
                 f"dense generation materialises an n×n matrix and is capped "
@@ -697,146 +768,10 @@ class CPGAN(GraphGenerator):
             )
         scores = self.decoder.decode_numpy(latents)
         np.fill_diagonal(scores, 0.0)
-        return assemble_graph(scores, target_edges, rng, strategy)
-
-    def _sparse_candidates(
-        self, g: np.ndarray, target_edges: int, cfg: CPGANConfig | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top-K (u, v, score) triples from the chunked scoring kernel.
-
-        K = candidate_factor × target_edges bounds the buffer; the kernel
-        is exact, so any K ≥ target_edges reproduces the dense selection —
-        the headroom only exists so downstream consumers (diagnostics,
-        alternative strategies) see more than the bare minimum.
-        ``cfg.generation_threads`` parallelises the kernel's row-block
-        scoring without changing a single output bit.
-        """
-        cfg = cfg or self.config
-        k = int(np.ceil(cfg.candidate_factor * target_edges))
-        return topk_pair_candidates(
-            g,
-            max(k, target_edges),
-            threads=cfg.generation_threads,
-            score_dtype=cfg.generation_dtype,
+        graph = assemble_graph(
+            scores, target_edges, rng, cfg.assembly_strategy, _stats=_stats
         )
-
-    def _score_rows_fn(self, g: np.ndarray) -> PairScorer:
-        """Scorer for the categorical repair pass.
-
-        A :class:`~repro.core.decoder.PairScorer` over the pair features:
-        calling it computes ``sigmoid(g[nodes] @ g.T)`` for just the
-        requested nodes — O(len(nodes) · n), never the full matrix, with
-        diagonal entries left for the repair pass to zero — and its
-        factored accessors (norms / pair scores / envelope) power the
-        ``repair_sampler='factored'`` rejection sampler.
-        """
-        return PairScorer(g)
-
-    def generate_to_file(
-        self,
-        path,
-        seed: int = 0,
-        num_nodes: int | None = None,
-        flush_every: int = 100_000,
-        *,
-        config: CPGANConfig | None = None,
-        shard_edges: int | None = None,
-        shard_format: str = "edgelist",
-        _stats: dict | None = None,
-    ) -> int:
-        """Stream a generated graph to disk (§III-H future work).
-
-        The paper notes CPGAN's simulation step still assumes the output
-        graph fits in device memory and names out-of-core generation as
-        future work.  This implements it on the sparse pipeline: the
-        chunked kernel scores row-blocks into a bounded candidate buffer
-        (in ``config.generation_dtype`` precision), the shared selection
-        core picks the final edge set, and edges stream out in
-        ``flush_every``-line batches — peak memory is O(row_block · n + K)
-        regardless of the output size.  The edge set is exactly the one
-        :meth:`generate` returns for the same seed, and the returned count
-        equals the number of edges written.
-
-        ``shard_edges`` (default ``config.generation_shard_edges``) selects
-        the output layout: 0 writes a single edge-list file plus a
-        ``<path>.meta.json`` sidecar; > 0 writes ``path`` as a *directory*
-        of ~``shard_edges``-edge shards (``shard_format`` ``"edgelist"`` or
-        ``"csr"``) with a ``meta.json`` manifest.  Both record num_nodes,
-        num_edges, the scoring dtype and the seed, so
-        :func:`repro.graphs.read_edge_list` round-trips the graph exactly —
-        including trailing isolated nodes.
-        """
-        from pathlib import Path
-
-        from ..graphs.io import EdgeShardWriter, _meta_sidecar_path, _write_meta
-
-        cfg = config or self.config
-        if shard_edges is None:
-            shard_edges = cfg.generation_shard_edges
-        strategy = cfg.assembly_strategy
-        if cfg.generation_mode == "hierarchical":
-            from ..hier import generate_hierarchical
-
-            dtype_used = cfg.generation_dtype
-            n, edges = generate_hierarchical(
-                self, seed, num_nodes, cfg, _stats=_stats
-            )
-        elif self._use_dense_generation(cfg):
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            dtype_used = "float64"  # the dense reference has no f32 path
-            edges = self._generate_dense(
-                latents, n, target_edges, rng, strategy
-            ).edge_array()
-        else:
-            n, target_edges, rng, latents = self._prepare_generation(
-                seed, num_nodes, cfg
-            )
-            dtype_used = cfg.generation_dtype
-            g = self.decoder.edge_features_numpy(latents)
-            g = np.asarray(g, dtype=np.dtype(dtype_used))
-            edges = select_edges_sparse(
-                n,
-                self._sparse_candidates(g, target_edges, cfg),
-                target_edges,
-                rng,
-                strategy,
-                score_rows=PairScorer(g),
-                assume_unique=True,
-                repair_sampler=cfg.repair_sampler,
-                _stats=_stats,
-            )
-        extra_meta = {"dtype": dtype_used, "seed": int(seed)}
-        path = Path(path)
-        step = max(flush_every, 1)
-        if shard_edges > 0:
-            with EdgeShardWriter(
-                path, n, shard_edges, shard_format, meta=extra_meta
-            ) as writer:
-                for start in range(0, len(edges), step):
-                    writer.write(edges[start : start + step])
-        else:
-            with path.open("w") as handle:
-                handle.write(f"# nodes: {n}\n")
-                for start in range(0, len(edges), step):
-                    chunk = edges[start : start + step]
-                    handle.writelines(f"{u} {v}\n" for u, v in chunk.tolist())
-            _write_meta(
-                _meta_sidecar_path(path),
-                {
-                    "format_version": 1,
-                    "kind": "edge_list",
-                    "num_nodes": int(n),
-                    "num_edges": int(len(edges)),
-                    **extra_meta,
-                },
-            )
-        return len(edges)
-
-    def _decode_node_features(self, latents: list[np.ndarray]) -> np.ndarray:
-        """h_k -> g_θ(h_k) rows for pairwise scoring (NumPy, no grad)."""
-        return self.decoder.edge_features_numpy(latents)
+        return n, graph.edge_array()
 
     # ------------------------------------------------------------------
     def edge_probabilities(self, pairs: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -845,7 +780,7 @@ class CPGAN(GraphGenerator):
         Powers the reconstruction NLL of Table V.
         """
         self._require_fitted()
-        h = self._decode_node_features(self._latents.mus)
+        h = self.decoder.edge_features_numpy(self._latents.mus)
         pairs = np.asarray(pairs)
         logits = np.sum(h[pairs[:, 0]] * h[pairs[:, 1]], axis=1)
         return 1.0 / (1.0 + np.exp(-logits))

@@ -38,7 +38,12 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["assemble_graph", "assemble_graph_sparse", "select_edges_sparse"]
+__all__ = [
+    "assemble_graph",
+    "assemble_graph_sparse",
+    "merge_stats",
+    "select_edges_sparse",
+]
 
 _SPARSE_STRATEGIES = ("categorical_topk", "topk", "threshold")
 
@@ -66,6 +71,19 @@ _FACTORED_MAX_ROUNDS = 64
 #: partners are chosen — it only trades peak scratch against the number of
 #: ``score_rows`` round-trips (each one a BLAS matmul worth amortising).
 _REPAIR_SCORE_BLOCK = 2_000_000
+
+
+def merge_stats(total: dict, part: dict | None) -> None:
+    """Fold one ``_stats`` telemetry dict into a running total.
+
+    Numbers add; strings (e.g. ``repair_sampler``, identical across one
+    config snapshot) carry over.
+    """
+    for key, value in (part or {}).items():
+        if isinstance(value, str):
+            total[key] = value
+        else:
+            total[key] = total.get(key, 0) + value
 
 
 def _symmetric_scores(scores: np.ndarray) -> np.ndarray:
@@ -412,9 +430,8 @@ def _repair_isolated(
     isolated = np.flatnonzero(degree == 0)
     if _stats is not None:
         _stats["repair_isolated"] = int(isolated.size)
-        _stats.setdefault("repair_proposals", 0)
-        _stats.setdefault("repair_accepted", 0)
-        _stats.setdefault("repair_fallback", 0)
+        for key in ("drawn", "proposals", "accepted", "fallback", "rounds"):
+            _stats.setdefault(f"repair_{key}", 0)
     if isolated.size == 0:
         return u, v
     if repair_sampler == "factored":
@@ -597,6 +614,7 @@ def assemble_graph(
     num_edges: int,
     rng: np.random.Generator | None = None,
     strategy: str = "categorical_topk",
+    _stats: dict | None = None,
 ) -> Graph:
     """Build a :class:`Graph` with ``num_edges`` edges from ``scores``.
 
@@ -641,4 +659,5 @@ def assemble_graph(
         strategy,
         score_rows=lambda nodes: s[nodes],
         assume_unique=True,
+        _stats=_stats,
     )

@@ -1,6 +1,10 @@
 """End-to-end hierarchical generation: plan → super-graph → tasks → union.
 
-The pipeline reuses the flat pipeline's latent stream bit-for-bit
+This is the per-seed hierarchical strategy of CPGAN's one generation
+pipeline (``CPGAN._generate_edges``): ``generate``, ``generate_batch``
+and ``generate_to_file`` all reach it through that pipeline, which also
+merges the ``_stats`` telemetry filled here and counts the graph once in
+``samples``.  It reuses the flat pipeline's latent stream bit-for-bit
 (:meth:`CPGAN._prepare_generation` with ``with_rows=True`` adds the
 bootstrap rows without touching the RNG sequence), maps every generated
 node to a community through the trained assignments (Louvain on the
@@ -26,6 +30,7 @@ import numpy as np
 from ..community import louvain
 from ..core.decoder import PairScorer, topk_pair_candidates
 from ..graphs import select_edges_sparse
+from ..graphs.assembly import merge_stats
 from .planner import HierPlan, plan_partition
 from .stitch import sample_cross_edges
 from .supergraph import sample_supergraph
@@ -197,14 +202,6 @@ def generate_hierarchical(
         _stats["hier_budget_clipped"] = int(
             target_edges - intra_edge_count - cross_edge_count
         )
-        # Fold the per-task telemetry without counting tasks as samples —
-        # the whole fan-out is one generation to the caller.
-        for sample in intra_stats + cross_stats:
-            if not sample:
-                continue
-            for key, value in sample.items():
-                if isinstance(value, str):
-                    _stats[key] = value
-                else:
-                    _stats[key] = _stats.get(key, 0) + value
+        for part in intra_stats + cross_stats:
+            merge_stats(_stats, part)
     return n, edges

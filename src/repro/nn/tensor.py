@@ -180,11 +180,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph plumbing
     # ------------------------------------------------------------------
-    def _needs_graph(self, *others: "Tensor") -> bool:
-        return _GRAD_ENABLED and (
-            self.requires_grad or any(o.requires_grad for o in others)
-        )
-
     def _accumulate(self, grad: np.ndarray) -> None:
         # Single-consumer case (the overwhelming majority of nodes): adopt
         # the incoming buffer directly instead of allocating zeros and

@@ -63,9 +63,9 @@ class BatchSizeHistogram:
 class RepairStats:
     """Accumulator for isolated-node repair accounting across requests.
 
-    Workers feed it the per-generation ``_stats`` dict that
-    ``CPGAN.generate``/``generate_batch`` fill (repair wall-clock, isolated
-    counts, rejection-sampler proposal/acceptance totals).  The snapshot
+    Workers feed it the ``_stats`` dict each ``CPGAN.generate_batch`` call
+    fills (graphs generated, repair wall-clock, isolated counts,
+    rejection-sampler proposal/acceptance totals).  The snapshot
     splits totals per sampler so a mixed dense/factored workload stays
     legible, and derives the factored acceptance rate from the raw counts.
     """

@@ -294,3 +294,43 @@ class TestAutosizeAndHistogram:
         with pytest.raises(ValueError):
             hist.observe(0)
         assert hist.snapshot()["batches"] == 0
+
+
+_MODES = {
+    "sparse": {},
+    "hierarchical": {"generation_mode": "hierarchical"},
+    "dense": {"generation_mode": "dense"},
+}
+
+
+class TestGenerationTelemetry:
+    """Every entry point runs one pipeline, so ``_stats`` cannot depend on
+    which entry point (or batch composition) produced the graphs."""
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_samples_and_keys_agree_across_entry_points(
+        self, fitted, tmp_path, mode
+    ):
+        model, __ = fitted
+        cfg = model.generation_config(**_MODES[mode])
+        solo, batch, streamed = {}, {}, {}
+        model.generate(1, config=cfg, _stats=solo)
+        model.generate_batch([1, 4], config=cfg, _stats=batch)
+        model.generate_to_file(
+            tmp_path / "g.txt", seed=1, config=cfg, _stats=streamed
+        )
+        assert solo["samples"] == 1
+        assert batch["samples"] == 2
+        assert streamed["samples"] == 1
+        assert set(solo) == set(batch) == set(streamed)
+
+    def test_lone_hierarchical_request_counts_in_metrics(self, fitted):
+        __, path = fitted
+        service = _service(path, workers=1, cache_entries=0, max_batch_size=1)
+        request = GenerationRequest(
+            "toy", seed=2, params={"generation_mode": "hierarchical"}
+        )
+        with service:
+            service.generate(request)
+            repair = service.metrics()["repair"]["by_sampler"]
+        assert repair["dense"]["samples"] == 1

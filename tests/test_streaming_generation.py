@@ -140,3 +140,28 @@ class TestShardedStreaming:
         assert np.array_equal(
             read_edge_list(out).edge_array(), in_memory.edge_array()
         )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"generation_mode": "dense"}, {"assembly_strategy": "bernoulli"}],
+        ids=["dense", "bernoulli"],
+    )
+    def test_dense_reference_streams_generate_edges(
+        self, trained, tmp_path, overrides
+    ):
+        """The dense reference streams exactly generate's edges, and its
+        sidecar records the float64 it scores in even under a float32
+        config (it has no float32 path)."""
+        import json
+
+        model, __ = trained
+        cfg = model.generation_config(generation_dtype="float32", **overrides)
+        path = tmp_path / "dense.txt"
+        written = model.generate_to_file(path, seed=3, config=cfg)
+        in_memory = model.generate(seed=3, config=cfg)
+        assert written == in_memory.num_edges
+        assert np.array_equal(
+            read_edge_list(path).edge_array(), in_memory.edge_array()
+        )
+        meta = json.loads((tmp_path / "dense.txt.meta.json").read_text())
+        assert meta["dtype"] == "float64"
