@@ -35,6 +35,13 @@ __all__ = [
 #: n ~ 100k while the matmuls stay large enough to amortise BLAS overhead.
 _SCORE_ROW_BLOCK = 256
 
+#: Rows per tile of the NumPy inference decode (:meth:`GraphDecoder.
+#: edge_features_numpy`).  The GRU and MLP temporaries of one tile stay
+#: cache-resident instead of streaming n-row arrays through memory; every
+#: op is row-wise, so tiling changes no bit as long as each tile's matmul
+#: keeps the GEMM path (see :func:`_row_tiles`).
+_DECODE_ROW_TILE = 1024
+
 #: Relative + absolute slack added to the Cauchy–Schwarz logit bound before
 #: a block is pruned unscored.  The true dot products are computed in float
 #: arithmetic, so the computed logit can exceed the computed norm product
@@ -52,6 +59,19 @@ _BOUND_SLACK_F32 = 1e-4
 def _bound_slack(dtype: np.dtype) -> float:
     """Pruning slack matched to the scoring precision."""
     return _BOUND_SLACK_F32 if dtype == np.float32 else _BOUND_SLACK
+
+
+def _row_tiles(n: int, tile: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` row tiles covering ``n`` rows, each ``>= tile``
+    high unless ``n < tile``: the remainder joins the last full tile.
+
+    A short tail tile of its own could fall onto a different BLAS path
+    (NumPy hands a one-row matmul to gemv, whose summation order differs
+    from gemm's) and change bits; tiles of ``tile`` rows or more stay on
+    gemm, whose per-row result does not depend on the row count.
+    """
+    starts = list(range(0, n - tile + 1, tile)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def pair_feature_norms(g: np.ndarray) -> np.ndarray:
@@ -263,7 +283,7 @@ class _SampleFold:
         # function).  The slack covers the float gap between a computed
         # dot product and the computed norm product before the bound is
         # trusted to prune.
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        norms = pair_feature_norms(g)
         if norm_order:
             # Norm-descending node order turns the Cauchy–Schwarz bound
             # into a *column prefix*: in sorted space, the columns that can
@@ -287,16 +307,17 @@ class _SampleFold:
         suffix_max = np.maximum.accumulate(norms[::-1])[::-1]
         slack = _bound_slack(g.dtype)
 
-        def block_bound_score(start: int, stop: int) -> float:
-            bound = norms[start:stop].max() * suffix_max[start + 1]
-            bound += slack * abs(bound) + slack
-            return float(_stable_sigmoid(np.array(bound)))
+        def block_bounds(row_max: np.ndarray, starts: np.ndarray) -> list:
+            bound = row_max * suffix_max[starts + 1]
+            bound += slack * np.abs(bound) + slack
+            return _stable_sigmoid(bound, overwrite_input=True).tolist()
 
-        blocks = [
-            (start, min(start + row_block, n))
-            for start in range(0, n - 1, row_block)
-        ]
-        bounds = [block_bound_score(start, stop) for start, stop in blocks]
+        starts = np.arange(0, n - 1, row_block)
+        blocks = [(start, min(start + row_block, n)) for start in starts.tolist()]
+        # The blocks partition the rows up to the last block's stop, so one
+        # reduceat over those rows yields every block's row max.
+        row_max = np.maximum.reduceat(norms[: blocks[-1][1]], starts)
+        bounds = block_bounds(row_max, starts)
         # Highest-bound block first: it is the likeliest to contain the
         # global top scores, so the threshold saturates after one fold and
         # the remaining blocks hit the cheap pre-filter (or are skipped
@@ -304,6 +325,7 @@ class _SampleFold:
         # block order.
         block_order = np.argsort(np.negative(bounds), kind="stable")
         blocks = [blocks[i] for i in block_order]
+        bounds = [bounds[i] for i in block_order]
         # Seed split: carve a prefix of the first block just big enough to
         # overfill the buffer several times (~8k pairs), so a threshold
         # exists before any full block is scored and even the first
@@ -318,12 +340,14 @@ class _SampleFold:
         pair_ends = np.cumsum(n - np.arange(seed_start, seed_stop) - 1)
         seed_rows = int(np.searchsorted(pair_ends, 8 * k)) + 1
         if seed_rows < seed_stop - seed_start:
-            blocks[0:1] = [
-                (seed_start, seed_start + seed_rows),
-                (seed_start + seed_rows, seed_stop),
-            ]
+            split = seed_start + seed_rows
+            blocks[0:1] = [(seed_start, split), (split, seed_stop)]
+            row_max = [norms[seed_start:split].max(), norms[split:seed_stop].max()]
+            bounds[0:1] = block_bounds(
+                np.array(row_max), np.array([seed_start, split])
+            )
         self.blocks = blocks
-        self.bounds = [block_bound_score(start, stop) for start, stop in blocks]
+        self.bounds = bounds
         self.buf_u: np.ndarray | None = None
         self.buf_v: np.ndarray | None = None
         self.buf_s: np.ndarray | None = None
@@ -376,7 +400,19 @@ class _SampleFold:
             v = np.concatenate([self.buf_v, v])
             s = np.concatenate([self.buf_s, s])
         n = self.n
-        keep = _fold_topk(s, lambda idx: _triu_rank(u[idx], v[idx], n), self.k)
+        perm = self.perm if self.norm_order else None
+
+        def rank(idx: np.ndarray) -> np.ndarray:
+            # Ties break by the caller's (original-id) triangle rank — the
+            # key selection uses — not by sorted-space position, so a
+            # buffer of exactly the edge budget selects the same pairs.
+            ru, rv = u[idx], v[idx]
+            if perm is not None:
+                ru, rv = perm[ru], perm[rv]
+                ru, rv = np.minimum(ru, rv), np.maximum(ru, rv)
+            return _triu_rank(ru, rv, n)
+
+        keep = _fold_topk(s, rank, self.k)
         self.buf_u, self.buf_v, self.buf_s = u[keep], v[keep], s[keep]
         if self.buf_s.size == self.k:
             self.threshold = float(self.buf_s.min())
@@ -428,8 +464,10 @@ def topk_pair_candidates_batch(
     :class:`~concurrent.futures.ThreadPoolExecutor` while the main thread
     folds completed tasks in deterministic round-major order; a stale
     threshold snapshot only weakens pruning, never changes output bits.
-    Peak extra memory is O(threads · budget + S · (row_block · d + k))
-    with ``budget`` = :data:`_BATCH_MATMUL_BUDGET` elements.
+    The first two rounds (each sample's highest-bound block, seed split
+    included) run on the main thread, so every pool task starts with a
+    threshold.  Peak extra memory is O(threads · budget + S · (row_block
+    · d + k)) with ``budget`` = :data:`_BATCH_MATMUL_BUDGET` elements.
 
     **Precision.**  ``score_dtype`` selects the scoring arithmetic.  The
     float64 default reproduces the historical pipeline bit for bit — same
@@ -445,9 +483,12 @@ def topk_pair_candidates_batch(
     pruning the sweep by orders of magnitude at production sizes (pair
     indices map back to the caller's node ids on output).  Both modes are
     *exact for their own arithmetic*: the returned buffer is the true
-    top-k of the scores as computed in the chosen precision, with
-    deterministic tie-breaking (float64 in the historical triangle order,
-    float32 in sorted-space order).
+    top-k of the scores as computed in the chosen precision.  Both break
+    ties at the k-th score toward the larger upper-triangle rank of the
+    caller's node ids (float32 maps its sorted-space pairs back through
+    the norm permutation to rank them) — the key
+    :func:`~repro.graphs.assembly.select_edges_sparse` uses, so a buffer
+    of exactly the edge budget selects what any larger buffer would.
     """
     score_dtype = np.dtype(score_dtype)
     if score_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -591,10 +632,21 @@ def topk_pair_candidates_batch(
                     _stats["scored"] += 1
                 samples[index].fold(*result, _stats)
 
-    if threads == 1:
-        for task in tasks:
-            fold_task(score_task(*task))
-    else:
+    # Rounds 0 and 1 — each sample's seed split and the rest of its
+    # highest-bound block — score and fold on the main thread before any
+    # pool task starts.  The seed sets each sample's first threshold and
+    # its block-mate tightens it to near its final value, so every pool
+    # task scores against that: tasks submitted earlier would scan whole
+    # n-wide blocks under a weak (or no) threshold, each holding a full
+    # block of logits, for no change in output.
+    serial = (
+        len(tasks)
+        if threads == 1
+        else sum(1 for position, __, __ in tasks if position <= 1)
+    )
+    for task in tasks[:serial]:
+        fold_task(score_task(*task))
+    if serial < len(tasks):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # Rolling submission window: keep ``threads + 1`` tasks in
             # flight and submit the next only after folding the oldest, so
@@ -608,7 +660,7 @@ def topk_pair_candidates_batch(
             # decision the fold re-validates — identical to the serial
             # schedule's, so output bits never depend on the window.
             pending: deque = deque()
-            cursor = 0
+            cursor = serial
             while cursor < len(tasks) and len(pending) <= threads:
                 pending.append(pool.submit(score_task, *tasks[cursor]))
                 cursor += 1
@@ -783,13 +835,25 @@ class GraphDecoder(nn.Module):
         return np.maximum(out, 0.0)
 
     def edge_features_numpy(self, latents: list[np.ndarray]) -> np.ndarray:
-        """g_θ(h_k) rows (Eq. 14's pre-dot-product features), NumPy-only."""
-        x = self.node_features_numpy(latents)
-        for layer in self.edge_mlp.layers[:-1]:
-            x = x @ layer.weight.data
-            x += layer.bias.data
-            x = np.maximum(x, 0.0)
+        """g_θ(h_k) rows (Eq. 14's pre-dot-product features), NumPy-only.
+
+        Runs the GRU and the MLP over :data:`_DECODE_ROW_TILE`-row tiles
+        into one preallocated output, so the hidden-width temporaries stay
+        in cache; the result is bit-identical to the untiled decode.
+        """
+        if not latents:
+            raise ValueError("decoder needs at least one latent level")
+        latents = [np.asarray(z, dtype=float) for z in latents]
+        n = latents[0].shape[0]
         final = self.edge_mlp.layers[-1]
-        x = x @ final.weight.data
-        x += final.bias.data
-        return x
+        out = np.empty((n, final.weight.data.shape[1]))
+        for start, stop in _row_tiles(n, _DECODE_ROW_TILE):
+            x = self.node_features_numpy([z[start:stop] for z in latents])
+            for layer in self.edge_mlp.layers[:-1]:
+                x = x @ layer.weight.data
+                x += layer.bias.data
+                x = np.maximum(x, 0.0)
+            x = x @ final.weight.data
+            x += final.bias.data
+            out[start:stop] = x
+        return out

@@ -668,11 +668,11 @@ class CPGAN(GraphGenerator):
             results = [None] * len(seeds)
             for n, members in groups.items():
                 # target_edges is a pure function of n, so it is shared by
-                # the whole group — as is the candidate budget K.  K only
-                # adds headroom: the kernel is exact, so any K >=
-                # target_edges reproduces the dense selection.
+                # the whole group.  It is also the kernel's K: the kernel is
+                # exact and breaks ties by triangle rank like selection
+                # does, and selection keeps only the top target_edges, so a
+                # larger buffer would be scored and folded for nothing.
                 target_edges = prepared[members[0]][1]
-                k = int(np.ceil(cfg.candidate_factor * target_edges))
                 stack = (
                     features[members[0]][None]  # a view: no copy at S=1
                     if len(members) == 1
@@ -680,7 +680,7 @@ class CPGAN(GraphGenerator):
                 )
                 candidates = topk_pair_candidates_batch(
                     stack,
-                    max(k, target_edges),
+                    target_edges,
                     threads=cfg.generation_threads,
                     score_dtype=dtype,
                 )

@@ -46,6 +46,12 @@ __all__ = [
 _FORMAT_VERSION = 1
 _CHECKPOINT_VERSION = 1
 
+#: Config fields older archives may carry that ``CPGANConfig`` no longer
+#: has.  None of them changed a generated bit (``candidate_factor`` only
+#: sized a candidate buffer the exact kernel no longer over-allocates), so
+#: they are dropped on read and such archives keep loading.
+_RETIRED_CONFIG_FIELDS = ("candidate_factor",)
+
 
 class CheckpointError(ValueError):
     """A model or checkpoint archive is unreadable, corrupt, or incompatible.
@@ -126,6 +132,9 @@ def _archive_meta(path: Path, archive) -> dict:
         ) from exc
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path} metadata is not a JSON object")
+    if isinstance(meta.get("config"), dict):
+        for name in _RETIRED_CONFIG_FIELDS:
+            meta["config"].pop(name, None)
     return meta
 
 

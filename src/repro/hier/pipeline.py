@@ -98,9 +98,8 @@ def _intra_edges(
     sub = np.ascontiguousarray(g[members])
     cap = n_c * (n_c - 1) // 2
     budget = int(min(budget, cap))
-    k = min(max(int(np.ceil(cfg.candidate_factor * budget)), budget), cap)
     triples = topk_pair_candidates(
-        sub, k, threads=1, score_dtype=cfg.generation_dtype
+        sub, budget, threads=1, score_dtype=cfg.generation_dtype
     )
     local = select_edges_sparse(
         n_c,

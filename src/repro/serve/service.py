@@ -121,7 +121,6 @@ ALLOWED_PARAMS = frozenset(
         "noise_scale",
         "assembly_strategy",
         "generation_mode",
-        "candidate_factor",
         "generation_dtype",
         "repair_sampler",
         "hier_level",

@@ -104,6 +104,43 @@ class TestErrors:
             load_model(path)
 
 
+def _with_saved_config_field(path, **fields) -> None:
+    """Rewrite an archive's metadata as an older release saved it."""
+    import json
+
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    meta["config"].update(fields)
+    arrays["meta_json"] = np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8
+    )
+    np.savez_compressed(path, **arrays)
+
+
+class TestRetiredConfigFields:
+    """Archives saved while ``candidate_factor`` existed keep loading."""
+
+    def test_load_model_drops_candidate_factor(self, trained, tmp_path):
+        model, __ = trained
+        path = tmp_path / "old.npz"
+        save_model(model, path)
+        _with_saved_config_field(path, candidate_factor=4.0)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert loaded.generate(seed=2) == model.generate(seed=2)
+
+    def test_resume_drops_candidate_factor(self, tmp_path):
+        graph, __ = community_graph(40, 2, 4.0, seed=1)
+        config = tiny_config(epochs=4, sample_size=40)
+        path = tmp_path / "ckpt.npz"
+        CPGAN(config).fit(graph, checkpoint_path=path, checkpoint_every=2)
+        _with_saved_config_field(path, candidate_factor=2.5)
+        restored = CPGAN()
+        restore_training_checkpoint(restored, path)
+        assert restored.config == config
+
+
 class TestCheckpointError:
     def test_is_value_error_subclass(self):
         assert issubclass(CheckpointError, ValueError)

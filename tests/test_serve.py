@@ -516,6 +516,18 @@ class TestHTTPAPI:
         assert status == 400
         assert "temperature" in payload["error"]
 
+    def test_retired_candidate_factor_param_400(self, http_stack):
+        """The removed candidate-buffer knob is an unknown parameter now:
+        the same clean 400 as any other, naming it."""
+        base, __ = http_stack
+        status, payload, __ = _post(
+            base + "/generate",
+            {"model": "toy", "params": {"candidate_factor": 4.0}},
+        )
+        assert status == 400
+        assert "candidate_factor" in payload["error"]
+        assert "unsupported generation params" in payload["error"]
+
     def test_unknown_endpoint_404(self, http_stack):
         base, __ = http_stack
         status, payload = _get(base + "/metricz")

@@ -14,9 +14,16 @@ import pytest
 
 import repro.graphs.assembly as asm
 from repro.core import CPGAN, CPGANConfig
-from repro.core.decoder import topk_pair_candidates
+from repro.core.decoder import (
+    _DECODE_ROW_TILE,
+    PairScorer,
+    _bound_slack,
+    _SampleFold,
+    topk_pair_candidates,
+    topk_pair_candidates_batch,
+)
 from repro.datasets import community_graph
-from repro.graphs.assembly import _fold_topk, _triu_rank
+from repro.graphs.assembly import _fold_topk, _triu_rank, select_edges_sparse
 
 _SMALL_CONFIG = dict(
     input_dim=4, node_embedding_dim=8, hidden_dim=16, latent_dim=8,
@@ -83,6 +90,21 @@ class TestSparseDenseEquivalence:
         assert np.array_equal(sparse.edge_array(), dense.edge_array())
 
 
+    def test_bit_identical_above_decode_tile(self, gru_model):
+        """The tiled NumPy decode (several tiles plus a short remainder)
+        still matches the dense reference's full-size autograd forward."""
+        model = gru_model
+        n = 2 * _DECODE_ROW_TILE + 17  # below _DENSE_GENERATION_LIMIT
+        try:
+            sparse = model.generate(seed=5, num_nodes=n)
+            model.config.generation_mode = "dense"
+            dense = model.generate(seed=5, num_nodes=n)
+        finally:
+            model.config.generation_mode = "sparse"
+        assert sparse.num_nodes == dense.num_nodes == n
+        assert np.array_equal(sparse.edge_array(), dense.edge_array())
+
+
 class TestKernelExactness:
     """topk_pair_candidates matches the dense full-sort reference exactly."""
 
@@ -132,6 +154,26 @@ class TestKernelExactness:
         keep = _fold_topk(vals, rank, 3)
         # 0.9 is sure; the two tied 0.5 slots go to the larger ranks (2, 3).
         assert sorted(keep.tolist()) == [1, 2, 3]
+
+    @pytest.mark.parametrize("norm_order", [False, True])
+    def test_block_bounds_match_scalar_reference(self, norm_order):
+        """The vectorised block bounds equal the per-block scalar formula
+        bit for bit — including a last block that stops short of row n-1
+        and the two halves of the seed split."""
+        from repro.nn.tensor import _stable_sigmoid
+
+        dtype = np.float32 if norm_order else np.float64
+        rng = np.random.default_rng(3)
+        for n, k, row_block in [(257, 1, 16), (300, 40, 16), (1000, 50, 64)]:
+            g = rng.normal(size=(n, 6)).astype(dtype)
+            fold = _SampleFold(g, n, k, row_block, norm_order=norm_order)
+            norms = fold.norms
+            suffix_max = np.maximum.accumulate(norms[::-1])[::-1]
+            slack = _bound_slack(g.dtype)
+            for (start, stop), bound in zip(fold.blocks, fold.bounds):
+                want = norms[start:stop].max() * suffix_max[start + 1]
+                want += slack * abs(want) + slack
+                assert bound == float(_stable_sigmoid(np.array(want)))
 
     def test_k_clamped_to_pair_count(self):
         g = np.random.default_rng(0).normal(size=(6, 4))
@@ -452,3 +494,112 @@ class TestRepairEdgeCases:
         assert graph.num_edges <= num_edges
         degrees = np.bincount(graph.edge_array().ravel(), minlength=n)
         assert degrees[4] > 0, "repair abandoned the isolated node"
+
+
+class TestExactBudget:
+    """K = target edges is exact: the kernel breaks ties at the cut the way
+    selection does in both precisions, and the threaded kernel scores no
+    full block without a threshold."""
+
+    @staticmethod
+    def _tied_features(n: int, seed: int) -> np.ndarray:
+        # Small integer features: every dot product is an exact small
+        # integer in float32 and float64 alike, so both precisions see the
+        # same scores and the same (many) ties.  Rows differ in norm, so the
+        # float32 kernel's norm order really permutes the nodes.
+        return np.random.default_rng(seed).integers(-1, 2, size=(n, 4)).astype(
+            float
+        )
+
+    @pytest.mark.parametrize("row_block", [8, 256])
+    def test_float32_ties_break_like_float64(self, row_block):
+        n = 60
+        g = self._tied_features(n, seed=0)
+        iu, ju = np.triu_indices(n, k=1)
+        logits = np.sort(np.einsum("ij,ij->i", g[iu], g[ju]))[::-1]
+        for k in (40, 150, 400):
+            # The tie plateau must straddle the cut for the test to bite.
+            assert logits[k - 1] == logits[k]
+            u64, v64, __ = topk_pair_candidates(g, k, row_block=row_block)
+            u32, v32, __ = topk_pair_candidates(
+                g, k, row_block=row_block, score_dtype=np.float32
+            )
+            assert set(zip(u32.tolist(), v32.tolist())) == set(
+                zip(u64.tolist(), v64.tolist())
+            )
+
+    def test_float32_generate_at_target_equals_wide_buffer(
+        self, gru_model, monkeypatch
+    ):
+        model = gru_model
+        cfg = model.generation_config(generation_dtype="float32")
+
+        def tied_features(latents):
+            return self._tied_features(latents[0].shape[0], seed=1)
+
+        monkeypatch.setattr(model.decoder, "edge_features_numpy", tied_features)
+        got = model.generate(seed=3, config=cfg).edge_array()
+
+        n, target, rng, latents = model._prepare_generation(3, None, cfg)
+        g = tied_features(latents).astype(np.float32)
+        iu, ju = np.triu_indices(n, k=1)
+        logits = np.sort(np.einsum("ij,ij->i", g[iu], g[ju]))[::-1]
+        assert logits[target - 1] == logits[target]
+        wide = topk_pair_candidates(g, 4 * target, score_dtype=np.float32)
+        want = select_edges_sparse(
+            n,
+            wide,
+            target,
+            rng,
+            cfg.assembly_strategy,
+            score_rows=PairScorer(g),
+            assume_unique=True,
+            repair_sampler=cfg.repair_sampler,
+        )
+        assert np.array_equal(got, want)
+
+    def test_threaded_kernel_memory_matches_serial(self, gru_model):
+        """Pool tasks start only once a threshold exists, so two scoring
+        threads hold about what one does — not a full block of logits per
+        task scored before the first fold."""
+        n, target, __, latents = gru_model._prepare_generation(0, 20_000)
+        g = gru_model.decoder.edge_features_numpy(latents).astype(np.float32)
+        peaks = {}
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                topk_pair_candidates_batch(
+                    g[None], target, threads=threads, score_dtype=np.float32
+                )
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.5 * peaks[1], peaks
+
+
+class TestTiledDecode:
+    """edge_features_numpy decodes in row tiles, bit-identical to the
+    untiled NumPy ops."""
+
+    @staticmethod
+    def _untiled(decoder, latents):
+        x = decoder.node_features_numpy(latents)
+        for layer in decoder.edge_mlp.layers[:-1]:
+            x = x @ layer.weight.data
+            x += layer.bias.data
+            x = np.maximum(x, 0.0)
+        final = decoder.edge_mlp.layers[-1]
+        x = x @ final.weight.data
+        x += final.bias.data
+        return x
+
+    @pytest.mark.parametrize("decoder_mode", ["gru", "concat"])
+    @pytest.mark.parametrize(
+        "n", [_DECODE_ROW_TILE // 3, 3 * _DECODE_ROW_TILE + 17]
+    )
+    def test_equals_untiled(self, gru_model, concat_model, decoder_mode, n):
+        model = gru_model if decoder_mode == "gru" else concat_model
+        __, __, __, latents = model._prepare_generation(1, n)
+        tiled = model.decoder.edge_features_numpy(latents)
+        assert tiled.shape == (n, model.config.latent_dim)
+        assert np.array_equal(tiled, self._untiled(model.decoder, latents))
