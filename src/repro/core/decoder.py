@@ -336,11 +336,13 @@ class _SampleFold:
         # further.  A split never changes the result — the final buffer is
         # the exact top-k of all pairs under any block partition of the
         # upper triangle.
+        # The split must leave the remainder a row below n - 1: the last
+        # row has no upper-triangle pairs, and its bound would read one
+        # past the end of ``suffix_max``.
         seed_start, seed_stop = blocks[0]
         pair_ends = np.cumsum(n - np.arange(seed_start, seed_stop) - 1)
-        seed_rows = int(np.searchsorted(pair_ends, 8 * k)) + 1
-        if seed_rows < seed_stop - seed_start:
-            split = seed_start + seed_rows
+        split = seed_start + int(np.searchsorted(pair_ends, 8 * k)) + 1
+        if split < min(seed_stop, n - 1):
             blocks[0:1] = [(seed_start, split), (split, seed_stop)]
             row_max = [norms[seed_start:split].max(), norms[split:seed_stop].max()]
             bounds[0:1] = block_bounds(
@@ -356,6 +358,11 @@ class _SampleFold:
         # any stale value a scoring task reads is a valid — merely weaker
         # — bound.
         self.threshold: float | None = None
+
+    def prunable(self, position: int, snapshot: float | None) -> bool:
+        """Whether the ``position``-th block's norm bound proves every
+        score in it below the threshold ``snapshot``."""
+        return snapshot is not None and self.bounds[position] < snapshot
 
     def column_stop(self, start: int, snapshot: float | None) -> int:
         """Exclusive end of the sorted-space columns block ``start`` scores.
@@ -566,7 +573,7 @@ def topk_pair_candidates_batch(
         for index in members:
             sample = samples[index]
             snapshot = sample.threshold
-            if snapshot is not None and sample.bounds[position] < snapshot:
+            if sample.prunable(position, snapshot):
                 outputs.append((index, None))  # pruned unscored
             else:
                 survivors.append((index, snapshot))
@@ -659,16 +666,36 @@ def topk_pair_candidates_batch(
             # per-sample threshold sequence — and therefore every pruning
             # decision the fold re-validates — identical to the serial
             # schedule's, so output bits never depend on the window.
+            #
+            # A task whose every member is already prunable against the
+            # fold cursor's threshold is folded as pruned on the main
+            # thread instead of being submitted: thresholds only rise, so
+            # the pool would prune it too, and at production sizes nearly
+            # every block is such a task.
             pending: deque = deque()
             cursor = serial
+
+            def submit_next() -> None:
+                nonlocal cursor
+                while cursor < len(tasks):
+                    position, extent, members = tasks[cursor]
+                    cursor += 1
+                    if all(
+                        samples[index].prunable(position, samples[index].threshold)
+                        for index in members
+                    ):
+                        fold_task([(index, None) for index in members])
+                    else:
+                        pending.append(
+                            pool.submit(score_task, position, extent, members)
+                        )
+                        return
+
             while cursor < len(tasks) and len(pending) <= threads:
-                pending.append(pool.submit(score_task, *tasks[cursor]))
-                cursor += 1
+                submit_next()
             while pending:
                 fold_task(pending.popleft().result())
-                if cursor < len(tasks):
-                    pending.append(pool.submit(score_task, *tasks[cursor]))
-                    cursor += 1
+                submit_next()
     return [sample.result() for sample in samples]
 
 

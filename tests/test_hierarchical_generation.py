@@ -5,7 +5,7 @@ import pytest
 
 from repro.community import louvain
 from repro.core import CPGAN, CPGANConfig
-from repro.datasets import community_graph
+from repro.datasets import community_graph, load
 from repro.graphs import Graph, read_edge_list
 from repro.hier import plan_partition, sample_cross_edges, sample_supergraph
 from repro.hier.pipeline import _partition_labels
@@ -19,6 +19,13 @@ def trained():
         pool_size=8, epochs=20, sample_size=120, seed=0,
     )
     return CPGAN(config).fit(graph), graph
+
+
+@pytest.fixture(scope="module")
+def standin():
+    """CPGAN on the ~200-node citeseer stand-in the benchmark streams."""
+    graph = load("citeseer", scale=0.06, seed=0).graph
+    return CPGAN(CPGANConfig(epochs=45, seed=0)).fit(graph)
 
 
 def _distinct_upper(edges: np.ndarray) -> None:
@@ -215,6 +222,15 @@ class TestHierarchicalGeneration:
             np.testing.assert_array_equal(labels, compact)
         finally:
             model._ground_truth = saved
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_community_kernel_seed_split_at_last_row(self, standin, seed):
+        """These seeds plan communities whose top-k seed split would start
+        its remainder on the community's last row."""
+        cfg = standin.generation_config(generation_mode="hierarchical")
+        generated = standin.generate(seed=seed, num_nodes=1000, config=cfg)
+        assert generated.num_nodes == 1000
+        _canonical(generated.edge_array())
 
     def test_community_structure_preserved(self, trained):
         from repro.metrics import evaluate_community_preservation

@@ -7,10 +7,14 @@ exactness of the kernel's candidate pruning, the repair pass's structural
 properties, and the memory bound that is the pipeline's reason to exist.
 """
 
+import concurrent.futures
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graphs.assembly as asm
 from repro.core import CPGAN, CPGANConfig
@@ -174,6 +178,18 @@ class TestKernelExactness:
                 want = norms[start:stop].max() * suffix_max[start + 1]
                 want += slack * abs(want) + slack
                 assert bound == float(_stable_sigmoid(np.array(want)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, k", [(16, 15), (17, 17), (32, 62), (33, 66)])
+    def test_seed_split_never_leaves_last_row_alone(self, n, k, threads):
+        """The seed split lands on row n - 1 here; that row has no pairs,
+        so the kernel must not split off a block for it."""
+        g = np.random.default_rng(0).standard_normal((n, 8))
+        u, v, __ = topk_pair_candidates(g, k, threads=threads)
+        ru, rv, __ = self._dense_reference(g, k)
+        assert set(zip(u.tolist(), v.tolist())) == set(
+            zip(ru.tolist(), rv.tolist())
+        )
 
     def test_k_clamped_to_pair_count(self):
         g = np.random.default_rng(0).normal(size=(6, 4))
@@ -575,6 +591,139 @@ class TestExactBudget:
             finally:
                 tracemalloc.stop()
         assert peaks[2] <= 1.5 * peaks[1], peaks
+
+
+class TestSubmitTimePruning:
+    """The threaded kernel folds blocks that are already prunable when
+    their turn to be submitted comes, instead of sending them to the pool."""
+
+    def test_pool_only_sees_blocks_that_may_score(self, gru_model, monkeypatch):
+        n, target, __, latents = gru_model._prepare_generation(0, 20_000)
+        g = gru_model.decoder.edge_features_numpy(latents).astype(np.float32)
+        submitted = []
+        real_submit = concurrent.futures.ThreadPoolExecutor.submit
+
+        def counting_submit(pool, *args, **kwargs):
+            submitted.append(args)
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures.ThreadPoolExecutor, "submit", counting_submit
+        )
+        results, stats = {}, {}
+        for threads in (1, 2):
+            stats[threads] = {}
+            [results[threads]] = topk_pair_candidates_batch(
+                g[None], target, threads=threads, score_dtype=np.float32,
+                _stats=stats[threads],
+            )
+        threads = 2
+        assert len(submitted) <= stats[threads]["scored"] + threads + 1
+        for a, b in zip(results[1], results[threads]):
+            assert np.array_equal(a, b)
+        assert stats[threads]["pruned_unscored"] == stats[1]["pruned_unscored"]
+
+
+def _greedy_evictions_reference(u, v, order, degree, overflow):
+    """The one-at-a-time greedy scan ``_choose_evictions`` reproduces:
+    walk ``order`` and evict an edge while both endpoints keep another
+    edge, then fill any shortfall with the first edges not yet taken."""
+    degree = degree.copy()
+    evict: list[int] = []
+    for idx in order:
+        if len(evict) == overflow:
+            break
+        a, b = u[idx], v[idx]
+        if degree[a] > 1 and degree[b] > 1:
+            evict.append(int(idx))
+            degree[a] -= 1
+            degree[b] -= 1
+    if len(evict) < overflow:
+        taken = np.zeros(u.size, dtype=bool)
+        taken[evict] = True
+        rest = order[~taken[order]][: overflow - len(evict)]
+        evict.extend(int(i) for i in rest)
+    return np.asarray(evict, dtype=np.int64)
+
+
+@st.composite
+def _eviction_inputs(draw, full_overflow=False):
+    """Random edge sets with scarce endpoints: few extra (repair) edge
+    ends, so many nodes sit at degree one or two."""
+    n = draw(st.integers(2, 30))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=60,
+        )
+    )
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    u = np.array([a for a, __ in pairs], dtype=np.int64)
+    v = np.array([b for __, b in pairs], dtype=np.int64)
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    degree = np.bincount(
+        np.concatenate([u, v, np.array(extra, dtype=np.int64)]), minlength=n
+    )
+    order = np.array(draw(st.permutations(range(u.size))), dtype=np.int64)
+    overflow = u.size if full_overflow else draw(st.integers(0, u.size + 2))
+    return u, v, order, degree, overflow, n
+
+
+class TestEvictionGreedy:
+    """The array-form eviction returns exactly the greedy scan's indices,
+    including when the fixed-point window has to restart."""
+
+    @staticmethod
+    def _check(u, v, order, degree, overflow, n):
+        want = _greedy_evictions_reference(u, v, order, degree, overflow)
+        for rounds in (1, 2, asm._EVICTION_ROUNDS):
+            with mock.patch.object(asm, "_EVICTION_ROUNDS", rounds):
+                got = asm._choose_evictions(u, v, order, degree, overflow, n)
+            assert np.array_equal(got, want), rounds
+
+    @settings(max_examples=300, deadline=None)
+    @given(_eviction_inputs())
+    def test_matches_greedy(self, case):
+        self._check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_eviction_inputs(full_overflow=True))
+    def test_unsafe_fallback_matches_greedy(self, case):
+        """Evicting every edge needs unsafe evictions past the safe ones."""
+        self._check(*case)
+
+    @pytest.mark.parametrize("overflow", [0, 3])
+    def test_empty_order(self, overflow):
+        empty = np.zeros(0, dtype=np.int64)
+        degree = np.zeros(5, dtype=np.int64)
+        got = asm._choose_evictions(empty, empty, empty, degree, overflow, 5)
+        assert got.size == 0
+
+    def test_hub_concentration_restarts_window(self):
+        """Star edges on a few hubs, evicted after a chain of degree-two
+        nodes.  Each chain edge's verdict hangs on the previous one, so
+        the batch fast path rejects and the fixed point needs about one
+        application per two chain edges: far past the per-window cap, so
+        the scan commits certified prefixes and restarts many times."""
+        hubs, leaves, chain = 8, 300, 200
+        rng = np.random.default_rng(5)
+        leaf_ids = np.arange(hubs, hubs + leaves)
+        hub_u = rng.integers(0, hubs, leaves)
+        chain_ids = np.arange(hubs + leaves, hubs + leaves + chain + 1)
+        u = np.concatenate([hub_u, chain_ids[:-1]])
+        v = np.concatenate([leaf_ids, chain_ids[1:]])
+        n = hubs + leaves + chain + 1
+        # Leaves and the chain's two ends hold one more (repair) edge, so
+        # leaf edges are safe until their hub runs dry, and inner chain
+        # nodes sit at degree two.
+        kept = np.concatenate([leaf_ids, chain_ids[[0, -1]]])
+        degree = np.bincount(np.concatenate([u, v, kept]), minlength=n)
+        order = np.concatenate(
+            [np.arange(leaves, leaves + chain), np.arange(leaves)]
+        )
+        assert asm._EVICTION_ROUNDS < chain // 2
+        for overflow in (chain // 3, chain, chain + leaves // 2):
+            self._check(u, v, order, degree, overflow, n)
 
 
 class TestTiledDecode:
