@@ -4,7 +4,10 @@ Fits a tiny CPGAN, stands up the real HTTP server on an ephemeral port,
 and round-trips the public API: ``POST /generate`` must return a
 well-formed graph payload, a repeated request must be served from the
 sample cache with identical edges, and ``GET /models`` / ``/metrics`` /
-``/healthz`` must all answer 200.  Exits non-zero on the first violation.
+``/healthz`` must all answer 200.  A keep-alive pass then sends ten requests
+back to back over one HTTP/1.1 connection: each response must be complete,
+and a repeated seed must return the identical graph.  Exits non-zero on the
+first violation.
 
 Usage::
 
@@ -13,6 +16,7 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
@@ -45,6 +49,43 @@ def post(base: str, path: str, payload: dict) -> tuple[int, dict]:
     )
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.status, json.loads(response.read().decode())
+
+
+def keep_alive_pass(port: int, expected_nodes: int) -> None:
+    """Ten back-to-back requests, some seeds repeated, over one connection."""
+    seeds = [2, 3, 2, 4, 3, 2, 5, 4, 2, 3]
+    first: dict[int, list] = {}
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        for index, seed in enumerate(seeds):
+            conn.request(
+                "POST",
+                "/generate",
+                json.dumps({"model": "citeseer", "seed": seed}),
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            raw = response.read()
+            length = int(response.getheader("Content-Length", "-1"))
+            check(
+                response.status == 200 and len(raw) == length,
+                f"keep-alive request {index} (seed {seed}) is complete",
+            )
+            payload = json.loads(raw.decode())
+            check(
+                payload["num_nodes"] == expected_nodes
+                and payload["num_edges"] == len(payload["edges"]) > 0,
+                f"keep-alive request {index} carries a whole graph",
+            )
+            if seed in first:
+                check(
+                    payload["cache_hit"] and payload["edges"] == first[seed],
+                    f"repeated seed {seed} returns the identical graph",
+                )
+            else:
+                first[seed] = payload["edges"]
+    finally:
+        conn.close()
 
 
 def main() -> int:
@@ -106,6 +147,8 @@ def main() -> int:
                 repeat["edges"] == payload["edges"],
                 "repeat request returns identical edges",
             )
+
+            keep_alive_pass(server.server_address[1], graph.num_nodes)
 
             status, metrics = get(base, "/metrics")
             check(status == 200, "/metrics answers 200")

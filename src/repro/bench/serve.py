@@ -5,7 +5,8 @@ archive, the :class:`~repro.serve.ModelRegistry`, the worker-pool
 :class:`~repro.serve.GenerationService`, and the real HTTP server on an
 ephemeral localhost port — then drives it with ``clients`` concurrent
 closed-loop clients (each issues its next request the moment the previous
-one completes) over real sockets.  Per-request wall-clock latencies are
+one completes), each over one keep-alive HTTP/1.1 connection, as a real
+client would hold one.  Per-request wall-clock latencies are
 collected client-side; the result document records throughput and
 p50/p95/p99 latency, each also *normalized* by the same matmul calibration
 the hot-path harness uses, so the committed ``BENCH_serve.json`` baseline
@@ -36,13 +37,12 @@ gate, pointed at the ``serve_paths`` section).
 
 from __future__ import annotations
 
+import http.client
 import json
 import platform
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -122,40 +122,54 @@ def _fitted_archive(settings: ServeBenchSettings, directory: Path) -> Path:
     return path
 
 
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
 def _client_loop(
-    base_url: str,
+    host: str,
+    port: int,
     client_index: int,
     settings: ServeBenchSettings,
     barrier: threading.Barrier,
     latencies: list[float],
     retries: list[int],
 ) -> None:
-    """One closed-loop client: fire, wait, record, repeat."""
+    """One closed-loop client on one keep-alive connection: fire, wait,
+    record, repeat."""
+    conn = http.client.HTTPConnection(host, port, timeout=120)
     barrier.wait()
-    for i in range(settings.requests_per_client):
-        request_index = client_index * settings.requests_per_client + i
-        seed = request_index % settings.unique_seeds
-        body = json.dumps({"model": "citeseer", "seed": seed}).encode("utf-8")
-        while True:
-            start = time.perf_counter()
-            try:
-                req = urllib.request.Request(
-                    base_url + "/generate",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(req, timeout=120) as resp:
-                    resp.read()
+    try:
+        for i in range(settings.requests_per_client):
+            request_index = client_index * settings.requests_per_client + i
+            seed = request_index % settings.unique_seeds
+            body = json.dumps({"model": "citeseer", "seed": seed})
+            reconnected = False
+            while True:
+                start = time.perf_counter()
+                try:
+                    conn.request("POST", "/generate", body, _JSON_HEADERS)
+                    response = conn.getresponse()
+                    response.read()
+                except (BrokenPipeError, ConnectionResetError):
+                    # The server closed the kept-alive connection: the
+                    # next request reopens it.  Resend once.
+                    conn.close()
+                    if reconnected:
+                        raise
+                    reconnected = True
+                    continue
+                if response.status == 503:
+                    # Backpressure: honour the Retry-After hint, then retry.
+                    retries.append(1)
+                    hint = float(response.getheader("Retry-After", "0.1"))
+                    time.sleep(min(hint, 0.25))
+                    continue
+                if response.status != 200:
+                    raise RuntimeError(f"/generate answered {response.status}")
                 latencies.append(time.perf_counter() - start)
                 break
-            except urllib.error.HTTPError as err:
-                if err.code != 503:
-                    raise
-                # Backpressure: honour the Retry-After hint, then retry.
-                err.read()
-                retries.append(1)
-                retry_after = float(err.headers.get("Retry-After", "0.1"))
-                time.sleep(min(retry_after, 0.25))
+    finally:
+        conn.close()
 
 
 def run_serve_bench(settings: ServeBenchSettings | None = None) -> dict:
@@ -176,7 +190,6 @@ def run_serve_bench(settings: ServeBenchSettings | None = None) -> dict:
         )
         server = build_server(service)
         host, port = server.server_address[:2]
-        base_url = f"http://{host}:{port}"
         server_thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -185,16 +198,19 @@ def run_serve_bench(settings: ServeBenchSettings | None = None) -> dict:
         try:
             # Warm up end to end (connection setup, first-touch codepaths)
             # with a seed outside the measured cycle.
-            warm = json.dumps(
-                {"model": "citeseer", "seed": settings.unique_seeds}
-            ).encode("utf-8")
-            req = urllib.request.Request(
-                base_url + "/generate",
-                data=warm,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(req, timeout=120) as resp:
-                resp.read()
+            warm = http.client.HTTPConnection(host, port, timeout=120)
+            try:
+                warm.request(
+                    "POST",
+                    "/generate",
+                    json.dumps(
+                        {"model": "citeseer", "seed": settings.unique_seeds}
+                    ),
+                    _JSON_HEADERS,
+                )
+                warm.getresponse().read()
+            finally:
+                warm.close()
 
             latencies: list[float] = []
             retries: list[int] = []
@@ -202,7 +218,7 @@ def run_serve_bench(settings: ServeBenchSettings | None = None) -> dict:
             threads = [
                 threading.Thread(
                     target=_client_loop,
-                    args=(base_url, i, settings, barrier, latencies, retries),
+                    args=(host, port, i, settings, barrier, latencies, retries),
                 )
                 for i in range(settings.clients)
             ]

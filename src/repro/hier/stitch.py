@@ -13,10 +13,17 @@ at the max source norm of ``A``), accepted with probability
 dominates every sharpened score a source in ``A`` can assign
 (Cauchy–Schwarz + monotone sigmoid), so an accepted proposal is an exact
 draw from the block's normalised target.  Already-drawn pairs are
-rejected, which is sampling without replacement by rejection; blocks
-still short after :data:`_MAX_ROUNDS` rounds (budget approaching the
-block capacity) fill deterministically with the highest-scoring unused
-pairs — telemetry records how many edges took that path.
+rejected, which is sampling without replacement by rejection.
+
+Each of the first :data:`_MAX_ROUNDS` rounds proposes exactly as many
+pairs as are still missing, so late rounds propose only a handful and an
+unlucky block can end them a few edges short.  A block that is still
+short but far from capacity (``2·budget ≤ n_A·n_B``) keeps drawing
+rejection rounds of at least :data:`_TAIL_PROPOSALS` proposals, taking
+the accepted pairs in proposal order.  Only a block near capacity, or
+one still short after :data:`_TAIL_ROUNDS` such rounds, fills
+deterministically with the highest-scoring unused pairs — telemetry
+records how many edges took that path.
 """
 
 from __future__ import annotations
@@ -28,8 +35,13 @@ from ..nn.tensor import _stable_sigmoid
 
 __all__ = ["sample_cross_edges"]
 
-#: Rejection rounds before the deterministic top-score fill kicks in.
+#: Rejection rounds that each propose exactly the missing edge count.
 _MAX_ROUNDS = 64
+
+#: Further rounds for a block still short but far from capacity, each
+#: proposing at least ``_TAIL_PROPOSALS`` pairs, before the fill.
+_TAIL_ROUNDS = 64
+_TAIL_PROPOSALS = 256
 
 #: Element budget of one chunked scoring matmul on the fill path.
 _FILL_CHUNK_ELEMENTS = 1 << 18
@@ -97,21 +109,29 @@ def sample_cross_edges(
     chosen = np.zeros(0, dtype=np.int64)  # codes i·n_b + j, i∈A, j∈B
     rounds = 0
     proposals = 0
-    while chosen.size < budget and rounds < _MAX_ROUNDS:
+    max_rounds = _MAX_ROUNDS
+    if 2 * budget <= n_a * n_b:
+        max_rounds += _TAIL_ROUNDS
+    while chosen.size < budget and rounds < max_rounds:
         need = budget - chosen.size
+        # A tail round can accept more than ``need``: it keeps the first
+        # ``need`` new pairs in proposal order (sorted order would favour
+        # low ids).  Within the first rounds at most ``need`` are accepted.
+        draw = need if rounds < _MAX_ROUNDS else max(need, _TAIL_PROPOSALS)
         rounds += 1
-        proposals += need
-        iu = rng.integers(0, n_a, size=need)
-        jv = np.searchsorted(env_cdf, rng.random(need) * total)
+        proposals += draw
+        iu = rng.integers(0, n_a, size=draw)
+        jv = np.searchsorted(env_cdf, rng.random(draw) * total)
         np.minimum(jv, n_b - 1, out=jv)
         logits = np.einsum("ij,ij->i", ga[iu], gb[jv])
         w = _stable_sigmoid(logits, overwrite_input=True)
         sharpened = np.square(np.asarray(w, dtype=np.float64))
-        accept = rng.random(need) * env[jv] < sharpened
+        accept = rng.random(draw) * env[jv] < sharpened
         codes = iu[accept] * n_b + jv[accept]
         if codes.size:
-            codes = np.unique(codes)
-            codes = codes[~np.isin(codes, chosen)]
+            __, first = np.unique(codes, return_index=True)
+            codes = codes[np.sort(first)]
+            codes = codes[~np.isin(codes, chosen)][:need]
             chosen = np.concatenate([chosen, codes])
     filled = budget - chosen.size
     if filled:

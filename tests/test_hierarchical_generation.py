@@ -127,6 +127,50 @@ class TestStitcher:
         edges = sample_cross_edges(g, a, b, 100, np.random.default_rng(5))
         assert edges.shape[0] == 4  # full bipartite block
 
+    @staticmethod
+    def _low_acceptance_features(n: int) -> np.ndarray:
+        """Two halves whose cross scores sit well below the envelope (one
+        long row in ``A`` inflates it): ~9 % of proposals are accepted."""
+        g = np.random.default_rng(0).normal(scale=0.3, size=(n, 8))
+        g[: n // 2, 0] += 1.0
+        g[n // 2 :, 0] -= 1.0
+        g[0] *= 10.0
+        return g
+
+    def test_short_block_far_from_capacity_is_not_filled(self):
+        """Regression: each of the first 64 rounds proposes exactly the
+        missing count, so this 2000×2000 block with budget 300 ended them
+        2 edges short and scored all 4M pairs in the top-score fill.  It
+        must finish by rejection instead, with exactly distinct pairs."""
+        g = self._low_acceptance_features(4000)
+        a = np.arange(0, 2000, dtype=np.int64)
+        b = np.arange(2000, 4000, dtype=np.int64)
+        stats = {}
+        edges = sample_cross_edges(
+            g, a, b, 300, np.random.default_rng(0), _stats=stats
+        )
+        assert stats["cross_rounds"] > 64
+        assert stats["cross_filled"] == 0
+        assert edges.shape == (300, 2)
+        _distinct_upper(edges)
+        assert np.all(np.isin(edges[:, 0], a))
+        assert np.all(np.isin(edges[:, 1], b))
+
+    def test_short_block_near_capacity_still_fills(self):
+        """The top-score fill stays the path for a budget near the block
+        capacity, where rejection would mostly redraw taken pairs."""
+        g = self._low_acceptance_features(40)
+        a = np.arange(0, 20, dtype=np.int64)
+        b = np.arange(20, 40, dtype=np.int64)
+        stats = {}
+        edges = sample_cross_edges(
+            g, a, b, 300, np.random.default_rng(0), _stats=stats
+        )
+        assert stats["cross_rounds"] == 64
+        assert stats["cross_filled"] > 0
+        assert edges.shape == (300, 2)
+        _distinct_upper(edges)
+
 
 class TestHierarchicalGeneration:
     def test_bit_identical_across_worker_counts(self, trained):

@@ -497,6 +497,39 @@ class TestHTTPAPI:
         assert second["cache_hit"]
         assert second["edges"] == first["edges"]
 
+    def test_keep_alive_cache_hits_do_not_stall(self, http_stack):
+        """Regression: with Nagle on, each keep-alive response's body
+        waited for the client's delayed ACK of its headers (~40 ms per
+        request).  Back-to-back cache hits over one connection must come
+        back well under that floor, each carrying the cached graph."""
+        import http.client
+        import time
+
+        base, __ = http_stack
+        __, first, __ = _post(base + "/generate", {"model": "toy", "seed": 23})
+        port = int(base.rsplit(":", 1)[1])
+        body = json.dumps({"model": "toy", "seed": 23})
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        times, payloads = [], []
+        try:
+            for __ in range(20):
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/generate", body,
+                    {"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                raw = response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+                payloads.append(json.loads(raw.decode()))
+        finally:
+            conn.close()
+        for payload in payloads:
+            assert payload["cache_hit"]
+            assert payload["edges"] == first["edges"]
+        assert float(np.median(times)) < 0.015
+
     def test_unknown_model_404(self, http_stack):
         base, __ = http_stack
         status, payload, __ = _post(base + "/generate", {"model": "nope"})
